@@ -216,6 +216,21 @@ impl SnapshotWriter {
             .sum::<usize>()
     }
 
+    /// Appends bytes that are already in this codec's encoding (e.g. a
+    /// run of entries copied verbatim from another snapshot).
+    pub(crate) fn put_raw(&mut self, encoded: &[u8]) -> &mut Self {
+        self.buf.put_slice(encoded);
+        self
+    }
+
+    /// Overwrites the value of a [`SnapshotWriter::put_u64`] written at
+    /// byte offset `at` — for a count known only after its items are
+    /// written.
+    pub(crate) fn put_u64_at(&mut self, at: usize, v: u64) -> &mut Self {
+        self.buf[at + 1..at + 9].copy_from_slice(&v.to_le_bytes());
+        self
+    }
+
     /// Writes a homogeneous sequence using the provided element writer.
     pub fn put_seq<T>(
         &mut self,
@@ -433,6 +448,19 @@ impl<'a> SnapshotReader<'a> {
         self.buf.is_empty()
     }
 
+    /// Bytes not yet consumed; `buf.len() - remaining()` is the read
+    /// offset into the wrapped buffer.
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Consumes `len` bytes (already bounds-checked), borrowing them.
+    fn take(&mut self, len: usize) -> &'a [u8] {
+        let (head, tail) = self.buf.split_at(len);
+        self.buf = tail;
+        head
+    }
+
     fn need(&self, n: usize, what: &str) -> Result<()> {
         if self.buf.remaining() < n {
             Err(Error::Codec(format!(
@@ -486,19 +514,30 @@ impl<'a> SnapshotReader<'a> {
         Ok(len as usize)
     }
 
+    /// Reads `len` UTF-8 bytes into an owned string (one copy).
+    fn get_utf8(&mut self) -> Result<String> {
+        let len = self.get_len()?;
+        std::str::from_utf8(self.take(len))
+            .map(str::to_owned)
+            .map_err(|e| Error::Codec(e.to_string()))
+    }
+
     /// Reads a string.
     pub fn get_str(&mut self) -> Result<String> {
         self.expect_tag(Tag::Str)?;
+        self.get_utf8()
+    }
+
+    /// Reads a raw byte string, borrowed from the wrapped buffer.
+    pub fn get_bytes_ref(&mut self) -> Result<&'a [u8]> {
+        self.expect_tag(Tag::Bytes)?;
         let len = self.get_len()?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec()).map_err(|e| Error::Codec(e.to_string()))
+        Ok(self.take(len))
     }
 
     /// Reads a raw byte vector.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
-        self.expect_tag(Tag::Bytes)?;
-        let len = self.get_len()?;
-        Ok(self.buf.copy_to_bytes(len).to_vec())
+        self.get_bytes_ref().map(<[u8]>::to_vec)
     }
 
     /// Reads a [`Value`].
@@ -514,13 +553,7 @@ impl<'a> SnapshotReader<'a> {
                 self.need(8, "float value")?;
                 Value::Float(self.buf.get_f64_le())
             }
-            Tag::ValueStr => {
-                let len = self.get_len()?;
-                let bytes = self.buf.copy_to_bytes(len);
-                Value::Str(
-                    String::from_utf8(bytes.to_vec()).map_err(|e| Error::Codec(e.to_string()))?,
-                )
-            }
+            Tag::ValueStr => Value::Str(self.get_utf8()?),
             Tag::ValueList => {
                 let len = self.get_len()?;
                 let mut vs = Vec::with_capacity(len.min(1 << 16));
@@ -565,6 +598,17 @@ impl<'a> SnapshotReader<'a> {
             source_time,
             fields: fields.into(),
         })
+    }
+
+    /// The `seq` of an encoded [`Tuple`] (a [`SnapshotWriter::put_tuple`]
+    /// payload), read at its fixed offset without decoding the fields.
+    /// `None` if `payload` cannot be a tuple; `Some` does not promise
+    /// the rest decodes.
+    pub fn peek_tuple_seq(payload: &[u8]) -> Option<u64> {
+        // Tag byte, then the u32 producer, then the u64 seq.
+        let raw = payload.get(5..13)?;
+        (payload[0] == Tag::Tuple as u8)
+            .then(|| u64::from_le_bytes(raw.try_into().expect("8 bytes")))
     }
 
     /// Reads a homogeneous sequence using the provided element reader.

@@ -16,7 +16,12 @@
 //! snapshot is *defined* as [`encode_table`] of the table, which
 //! serializes entries in ascending key order, so
 //! `fold(base, deltas) == snapshot_at_last_epoch` holds exactly — not
-//! just semantically — and the property test in this module pins it.
+//! just semantically — and the property tests pin it.
+//!
+//! [`fold`] never materializes the table. Because the base is
+//! canonical (strictly ascending keys), it merges the base's entries
+//! with the chain's net per-key writes in one streaming pass, copying
+//! each run of untouched entries verbatim into a pre-sized output.
 //!
 //! Encoding reuses the tagged snapshot codec with exact pre-sizing:
 //! a table entry is one tagged `u64` key plus one tagged byte string
@@ -26,7 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::codec::{SnapshotReader, SnapshotWriter};
-use crate::error::Result;
+use crate::error::{Error, Result};
 
 /// The changes one epoch made to a canonical state table, relative to
 /// the previous capture (the delta's *base*).
@@ -110,26 +115,83 @@ pub fn decode_table(buf: &[u8]) -> Result<BTreeMap<u64, Vec<u8>>> {
     Ok(entries.into_iter().collect())
 }
 
-/// Applies one delta to a decoded table in place.
-pub fn apply_delta(table: &mut BTreeMap<u64, Vec<u8>>, delta: &StateDelta) {
-    for (k, v) in &delta.changed {
-        table.insert(*k, v.clone());
-    }
-    for k in &delta.removed {
-        table.remove(k);
-    }
-}
-
-/// Folds a delta chain onto a full-snapshot base: decodes `base`,
-/// applies every delta oldest-first, and re-encodes canonically. The
-/// result is byte-identical to the full snapshot the operator would
-/// have produced at the last delta's epoch.
+/// Folds a delta chain (oldest first) onto a canonical full-snapshot
+/// base. The result is byte-identical to the full snapshot the
+/// operator would have produced at the last delta's epoch — what
+/// decoding `base`, applying each delta's `changed` then `removed`,
+/// and re-encoding would give — computed in one streaming merge.
+///
+/// A base that does not decode, holds trailing bytes, or whose keys
+/// are not strictly ascending is corrupt and yields `Err`.
 pub fn fold(base: &[u8], deltas: &[StateDelta]) -> Result<Vec<u8>> {
-    let mut table = decode_table(base)?;
+    // The chain's net effect: each key's latest write, `None` once the
+    // latest word on it is a removal.
+    let mut overlay: BTreeMap<u64, Option<&[u8]>> = BTreeMap::new();
     for d in deltas {
-        apply_delta(&mut table, d);
+        for (k, v) in &d.changed {
+            overlay.insert(*k, Some(v));
+        }
+        for k in &d.removed {
+            overlay.insert(*k, None);
+        }
     }
-    Ok(encode_table(&table))
+    let added: usize = overlay
+        .values()
+        .flatten()
+        .map(|v| encoded_entry_bytes(v.len()))
+        .sum();
+    let mut w = SnapshotWriter::with_capacity(base.len() + added);
+    w.put_u64(0); // the entry count, patched once known
+    let mut overlay = overlay.into_iter().peekable();
+    let mut r = SnapshotReader::new(base);
+    let offset = |r: &SnapshotReader<'_>| base.len() - r.remaining();
+    let n = r.get_u64()?;
+    let mut count = 0u64;
+    // Start of the base entries read but not yet copied out.
+    let mut run = offset(&r);
+    let mut prev = None;
+    for _ in 0..n {
+        let at = offset(&r);
+        let key = r.get_u64()?;
+        r.get_bytes_ref()?;
+        if prev.is_some_and(|p| key <= p) {
+            return Err(Error::Codec(format!(
+                "table key {key} is not strictly ascending"
+            )));
+        }
+        prev = Some(key);
+        if overlay.peek().is_none_or(|&(k, _)| k > key) {
+            count += 1; // untouched: it rides in the current run
+            continue;
+        }
+        w.put_raw(&base[run..at]);
+        let mut replaced = false;
+        while let Some((k, v)) = overlay.next_if(|&(k, _)| k <= key) {
+            replaced |= k == key;
+            if let Some(v) = v {
+                w.put_u64(k).put_bytes(v);
+                count += 1;
+            }
+        }
+        run = if replaced {
+            offset(&r)
+        } else {
+            count += 1;
+            at
+        };
+    }
+    if !r.is_exhausted() {
+        return Err(Error::Codec("trailing bytes after table".into()));
+    }
+    w.put_raw(&base[run..]);
+    for (k, v) in overlay {
+        if let Some(v) = v {
+            w.put_u64(k).put_bytes(v);
+            count += 1;
+        }
+    }
+    w.put_u64_at(0, count);
+    Ok(w.finish())
 }
 
 /// A dirty-tracking canonical state table — the building block for
@@ -209,7 +271,8 @@ impl DeltaTable {
         self.entries.iter().map(|(k, v)| (*k, v.as_slice()))
     }
 
-    /// Sum of value lengths (a cheap logical-size building block).
+    /// Sum of value lengths (a logical-size building block). Walks
+    /// every entry: O(table), not a maintained counter.
     pub fn value_bytes(&self) -> u64 {
         self.entries.values().map(|v| v.len() as u64).sum()
     }

@@ -754,20 +754,25 @@ mod tests {
     #[test]
     fn operator_meter_concurrent_updates_never_tear() {
         use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
 
         const TUPLES: u64 = 200_000;
         const EPOCHS: u64 = 200;
         let meter = Arc::new(OperatorMeter::new());
         let done = Arc::new(AtomicBool::new(false));
+        // The writers start only once the sampler has read once, so a
+        // scheduler that runs both writers to completion before the
+        // sampler's first turn cannot leave the run unobserved.
+        let start = Arc::new(Barrier::new(3));
 
         let sampler = {
             let meter = Arc::clone(&meter);
             let done = Arc::clone(&done);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut last = OperatorSample::default();
                 let mut reads = 0u64;
-                while !done.load(Ordering::Acquire) {
+                loop {
                     let s = meter.sample();
                     // Counters are monotone: a torn or word-sliced read
                     // would show up as a decrease.
@@ -778,6 +783,12 @@ mod tests {
                     assert!(s.ckpt_epoch >= last.ckpt_epoch);
                     last = s;
                     reads += 1;
+                    if reads == 1 {
+                        start.wait();
+                    }
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
                 reads
             })
@@ -789,7 +800,9 @@ mod tests {
         // races both.
         let host = {
             let meter = Arc::clone(&meter);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 for _ in 0..TUPLES {
                     meter.add_tuples_in(1);
                     meter.add_tuples_out(1, 8);
@@ -798,7 +811,9 @@ mod tests {
         };
         let persister = {
             let meter = Arc::clone(&meter);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 for e in 1..=EPOCHS {
                     meter.set_state_bytes(64 * e);
                     meter.record_checkpoint(e, 100, false, 1, 2, 3);

@@ -240,37 +240,68 @@ impl GateCore {
         Ok(())
     }
 
-    /// Folds replayed WAL tuples into the dedup table: batches logged
-    /// *after* the restored checkpoint's mark were durable (and
-    /// possibly acked) even though the snapshot predates them, so a
-    /// producer retrying one must get `Duplicate`, not a second
-    /// admission. Only batches whose final tuple survived count — a
-    /// torn batch was never fully durable, was never acked, and must
-    /// be re-admitted whole.
-    pub fn rebuild_from_replay(&mut self, replay: &[Tuple]) {
+    /// Folds replayed WAL tuples into the admission state, advances
+    /// `next_seq` past them, and returns the ones to resend downstream.
+    ///
+    /// Batches logged *after* the restored checkpoint's mark were
+    /// durable (and possibly acked) even though the snapshot predates
+    /// them, so a producer retrying one must get `Duplicate`, not a
+    /// second admission. Fin markers mark their producer finished and
+    /// are never resent.
+    ///
+    /// A batch is WAL'd as one run of consecutive sequence numbers
+    /// ending in its [`field::LAST`] record. A contiguous
+    /// `(producer, batch)` run that ends without it was torn by a
+    /// crash: never fully durable, never acked. It is neither counted
+    /// nor resent, and the producer's retry re-admits the batch whole.
+    /// After a torn tail, numbering skips one sequence number, so that
+    /// retry — WAL'd right behind the torn run under the same batch
+    /// id — still starts a run of its own on any later replay.
+    pub fn rebuild_from_replay(&mut self, next_seq: &mut u64, replay: Vec<Tuple>) -> Vec<Tuple> {
+        let mut resend = Vec::with_capacity(replay.len());
+        type Batch = (Option<i64>, Option<i64>);
+        // The batch run not yet closed by LAST: where it starts in
+        // `resend`, its `(producer, batch)`, and its latest seq.
+        let mut open: Option<(usize, Batch, u64)> = None;
         for t in replay {
-            let last = t.field(field::LAST).and_then(Value::as_int);
+            *next_seq = (*next_seq).max(t.seq + 1);
+            let int = |f: usize| t.field(f).and_then(Value::as_int);
+            let (last, id) = (int(field::LAST), (int(field::PRODUCER), int(field::BATCH)));
+            // Anything but the same batch's next seq ends an open run
+            // short of its LAST record: torn.
+            let continues = last != Some(field::FIN_MARKER)
+                && open.is_some_and(|(_, oid, oseq)| oid == id && t.seq == oseq + 1);
+            if !continues {
+                if let Some((start, ..)) = open.take() {
+                    resend.truncate(start);
+                }
+            }
             if last == Some(field::FIN_MARKER) {
                 // A durable Fin marker: the producer's FinOk was (or
                 // was about to be) acked — it is finished, even though
                 // the restored snapshot predates the Fin.
-                if let Some(p) = t.field(field::PRODUCER).and_then(Value::as_int) {
+                if let Some(p) = id.0 {
                     self.finished.insert(p as u64);
                 }
                 continue;
             }
-            if last != Some(1) {
-                continue;
+            if last == Some(1) {
+                open = None;
+                if let (Some(p), Some(b)) = id {
+                    let e = self.dedup.entry(p as u64).or_insert(b as u64);
+                    *e = (*e).max(b as u64);
+                }
+            } else {
+                let start = open.map_or(resend.len(), |(start, ..)| start);
+                open = Some((start, id, t.seq));
             }
-            let (Some(p), Some(b)) = (
-                t.field(field::PRODUCER).and_then(Value::as_int),
-                t.field(field::BATCH).and_then(Value::as_int),
-            ) else {
-                continue;
-            };
-            let e = self.dedup.entry(p as u64).or_insert(b as u64);
-            *e = (*e).max(b as u64);
+            resend.push(t);
         }
+        if let Some((start, ..)) = open {
+            resend.truncate(start);
+            *next_seq += 1;
+        }
+        resend
     }
 
     /// Accepted batches so far for `producer` (diagnostics/tests).
@@ -466,7 +497,10 @@ mod tests {
             expected_producers: 2,
             ..GateConfig::default()
         });
-        r.rebuild_from_replay(&replay);
+        let mut next = 0;
+        let resend = r.rebuild_from_replay(&mut next, replay.clone());
+        assert_eq!(resend, replay[..1], "markers are never resent");
+        assert_eq!(next, 3);
         assert!(r.is_finished(1) && r.is_finished(2));
         assert!(
             r.all_finished(),
@@ -509,8 +543,10 @@ mod tests {
         let mut replay = full_batch;
         replay.extend(torn_batch.into_iter().take(1));
         let mut r = core(GateConfig::default());
-        r.rebuild_from_replay(&replay);
-        let mut seq2 = 50;
+        let mut seq2 = 0;
+        let resend = r.rebuild_from_replay(&mut seq2, replay.clone());
+        assert_eq!(resend, replay[..2], "the torn run is not resent");
+        assert_eq!(seq2, 4, "one seq skipped after the torn tail");
         assert!(matches!(
             r.admit(&mut seq2, 1, 1, &[(0, 1), (1, 2)]),
             Admission::Duplicate

@@ -416,18 +416,11 @@ pub fn run_gate(
     // Recovery: resend preserved tuples (they were durable — and their
     // batches possibly acked — before the crash), fold their batch ids
     // and Fin markers back into the admission state, and continue
-    // sequence numbering past them. Fin markers are WAL-only: they
-    // must not reach downstream operators, whose tuple counts would
-    // diverge from the unfailed run.
-    core.rebuild_from_replay(&w.replay);
-    if let Some(last) = w.replay.last() {
-        next_seq = next_seq.max(last.seq + 1);
-    }
-    let resend: Vec<Tuple> = w
-        .replay
-        .drain(..)
-        .filter(|t| !crate::admission::is_fin_marker(t))
-        .collect();
+    // sequence numbering past them. Fin markers are WAL-only and torn
+    // batch runs were never acked: neither may reach downstream
+    // operators, whose tuple counts would diverge from the unfailed
+    // run.
+    let resend = core.rebuild_from_replay(&mut next_seq, std::mem::take(&mut w.replay));
     if !resend.is_empty() {
         // The whole preserved run goes downstream as one batch per
         // route — replay is the worst case for per-tuple framing.
@@ -1011,5 +1004,111 @@ mod tests {
         assert!(exit.error.is_none());
         drop(cmd_tx);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Runs a recovered gate (`restored: None`, the given replay) to
+    /// its Eos, driving `producer` against it once it is up; returns
+    /// every `(key, value)` that reached the engine edge.
+    fn recovered_gate_run(
+        tag: &str,
+        store: Arc<LiveStorage>,
+        replay: Vec<Tuple>,
+        producer: impl FnOnce(&str),
+    ) -> Vec<(i64, i64)> {
+        let dir = std::env::temp_dir().join(format!("ms_gate_{tag}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let persister = Persister::spawn(store.clone());
+        let persist = persister.sender();
+        let (_cmd_tx, cmd_rx) = unbounded();
+        let (tx, rx) = unbounded::<HostMsg>();
+        let addr_file = dir.join("gate.addr");
+        let wiring = GateWiring {
+            op_id: OperatorId(0),
+            cfg: GateConfig {
+                expected_producers: 1,
+                ..GateConfig::default()
+            },
+            outputs: vec![OutputRoute::single(tx)],
+            cmd: cmd_rx,
+            listen: "127.0.0.1:0".into(),
+            addr_file: Some(addr_file.clone()),
+            restored: None,
+            restored_seq: 0,
+            replay,
+            meter: Arc::new(GateMeter::new()),
+            telemetry: None,
+            group_commit: true,
+        };
+        let handle = std::thread::spawn(move || run_gate(wiring, store, persist));
+        producer(&wait_addr(&addr_file));
+        let mut events = Vec::new();
+        loop {
+            let batch = match recv_host(&rx) {
+                HostMsg::Data(t) => vec![t],
+                HostMsg::DataBatch(b) => b.to_vec(),
+                HostMsg::Token(_) => continue,
+                HostMsg::Eos => break,
+            };
+            for t in batch {
+                let int = |f| t.field(f).and_then(Value::as_int).unwrap();
+                events.push((int(crate::field::KEY), int(crate::field::VALUE)));
+            }
+        }
+        let exit = handle.join().unwrap();
+        assert!(exit.error.is_none());
+        drop(persister);
+        let _ = fs::remove_dir_all(&dir);
+        events.sort_unstable();
+        events
+    }
+
+    #[test]
+    fn torn_batch_retry_reaches_the_engine_exactly_once() {
+        // Producer 7's batch 1 is durable and acked. The crash tore
+        // batch 2 after two of its three WAL records: the replay ends
+        // in a complete-frame prefix of the batch with no LAST flag.
+        let b1 = [(1, 10), (2, 20)];
+        let b2 = [(3, 300), (4, 400), (5, 500)];
+        let mut pre = GateCore::new(OperatorId(0), GateConfig::default());
+        let mut seq = 0;
+        let Admission::Accept(mut replay) = pre.admit(&mut seq, 7, 1, &b1) else {
+            panic!("accept expected");
+        };
+        let Admission::Accept(walled) = pre.admit(&mut seq, 7, 2, &b2) else {
+            panic!("accept expected");
+        };
+        replay.extend(walled.into_iter().take(2));
+        let mut once: Vec<(i64, i64)> = b1.iter().chain(&b2).map(|&(k, v)| (k as i64, v)).collect();
+        once.sort_unstable();
+
+        // The recovered gate: the producer retries the unacked batch 2,
+        // then finishes.
+        let store = Arc::new(LiveStorage::new(1));
+        let got = recovered_gate_run("torn", store.clone(), replay.clone(), |addr| {
+            let mut a = TcpStream::connect(addr).unwrap();
+            let mut da = FrameDecoder::new();
+            send(&mut a, &GateMsg::Hello { producer: 7 });
+            send(
+                &mut a,
+                &GateMsg::Batch {
+                    batch: 2,
+                    events: b2.to_vec(),
+                },
+            );
+            assert_eq!(recv(&mut a, &mut da), GateMsg::Accepted { batch: 2 });
+            send(&mut a, &GateMsg::Fin { producer: 7 });
+            assert_eq!(recv(&mut a, &mut da), GateMsg::FinOk);
+        });
+        assert_eq!(got, once, "every event reaches the engine exactly once");
+
+        // A later failure replays the same log again, now holding the
+        // torn run, then the retry WAL'd under the same batch id, then
+        // the Fin marker. The replay alone must still deliver every
+        // event exactly once.
+        let mut later = replay;
+        later.extend(store.replay_from(OperatorId(0), EpochId(0)));
+        let got = recovered_gate_run("torn_later", Arc::new(LiveStorage::new(1)), later, |_| {});
+        assert_eq!(got, once, "a later replay still delivers exactly once");
     }
 }

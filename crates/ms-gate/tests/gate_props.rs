@@ -1,13 +1,16 @@
 //! Property tests for the producer↔gateway protocol: frame roundtrips
 //! for every message shape, one-byte torn reads reassembling
 //! losslessly, and the duplicate-batch idempotence the ack-after-WAL
-//! contract rests on — including across a WAL-replay rebuild.
+//! contract rests on — including across a WAL-replay rebuild, and
+//! across a crash that tore the WAL inside a batch.
 
 use std::io::Read;
 
 use ms_core::codec::{frame, read_frame, write_frame, FrameDecoder};
 use ms_core::gate::{GateConfig, GateMsg};
 use ms_core::ids::OperatorId;
+use ms_core::tuple::Tuple;
+use ms_core::value::Value;
 use ms_gate::{Admission, GateCore};
 use proptest::prelude::*;
 
@@ -158,8 +161,11 @@ proptest! {
         }
         // "Crash": a new core sees only what reached the WAL.
         let mut post = GateCore::new(OperatorId(0), cfg);
-        post.rebuild_from_replay(&walled);
-        let mut seq2 = next_seq;
+        let mut seq2 = 0;
+        let resent = post.rebuild_from_replay(&mut seq2, walled.clone());
+        // Every batch reached the WAL whole: all of it is resent.
+        prop_assert_eq!(&resent, &walled);
+        prop_assert_eq!(seq2, next_seq);
         for (i, events) in batches.iter().enumerate() {
             // Empty batches emit no tuples, so the WAL holds no trace
             // of them — they re-admit (emitting nothing) instead of
@@ -175,5 +181,63 @@ proptest! {
         prop_assert_eq!(seq2, next_seq);
         let fresh = post.admit(&mut seq2, producer, batches.len() as u64 + 1, &[(1, 1)]);
         prop_assert!(matches!(fresh, Admission::Accept(_)));
+    }
+
+    /// A crash tears the WAL inside a batch: replay resends only the
+    /// batches it holds whole, the producers' retries re-admit the
+    /// rest, and a later replay of the whole log — torn run, retries
+    /// and all — resends every batch exactly once.
+    #[test]
+    fn torn_batch_is_resent_once_across_replays(
+        batches in proptest::collection::vec((0u64..3, arb_events()), 1..8),
+        cut in any::<usize>(),
+        preagg in any::<bool>(),
+    ) {
+        let cfg = GateConfig { preagg, ..GateConfig::default() };
+        let mut pre = GateCore::new(OperatorId(0), cfg);
+        let mut seq = 0u64;
+        let mut next_batch = [1u64; 3];
+        // Every batch in log order, with the WAL records it produced.
+        let mut runs = Vec::new();
+        let mut wal: Vec<Tuple> = Vec::new();
+        for (producer, events) in &batches {
+            let batch = next_batch[*producer as usize];
+            next_batch[*producer as usize] += 1;
+            let Admission::Accept(ts) = pre.admit(&mut seq, *producer, batch, events) else {
+                panic!("first admission must accept");
+            };
+            runs.push((*producer, batch, wal.len()..wal.len() + ts.len(), events));
+            wal.extend(ts);
+        }
+        let cut = cut % (wal.len() + 1);
+        let whole: Vec<Tuple> = runs
+            .iter()
+            .filter(|r| r.2.end <= cut)
+            .flat_map(|r| wal[r.2.clone()].to_vec())
+            .collect();
+
+        let mut post = GateCore::new(OperatorId(0), cfg);
+        let mut seq2 = 0;
+        let mut log = wal[..cut].to_vec();
+        prop_assert_eq!(post.rebuild_from_replay(&mut seq2, log.clone()), whole);
+        for (producer, batch, _, events) in &runs {
+            if let Admission::Accept(ts) = post.admit(&mut seq2, *producer, *batch, events) {
+                log.extend(ts);
+            }
+        }
+
+        let fields = |t: &Tuple| -> Vec<Option<i64>> {
+            (0..5).map(|f| t.field(f).and_then(Value::as_int)).collect()
+        };
+        let mut again = GateCore::new(OperatorId(0), cfg);
+        let mut got: Vec<_> = again
+            .rebuild_from_replay(&mut 0, log)
+            .iter()
+            .map(fields)
+            .collect();
+        got.sort();
+        let mut want: Vec<_> = wal.iter().map(fields).collect();
+        want.sort();
+        prop_assert_eq!(got, want);
     }
 }

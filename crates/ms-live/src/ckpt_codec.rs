@@ -77,14 +77,24 @@ pub fn encode_ckpt(ckpt: &CkptWrite) -> Vec<u8> {
 
 /// Decodes a full-snapshot payload written by [`encode_ckpt`].
 pub fn decode_full(payload: &[u8]) -> Result<CkptWrite> {
-    let mut r = SnapshotReader::new(payload);
+    decode_full_owned(payload.to_vec(), 0)
+}
+
+/// [`decode_full`] of the payload at `buf[offset..]` that reuses `buf`
+/// as the snapshot's state bytes: they move to its front in place, so
+/// a restore that read a whole checkpoint file allocates nothing more.
+pub fn decode_full_owned(mut buf: Vec<u8>, offset: usize) -> Result<CkptWrite> {
+    let mut r = SnapshotReader::new(&buf[offset..]);
     let next_seq = r.get_u64()?;
     let logical_bytes = r.get_u64()?;
-    let data = r.get_bytes()?;
+    let len = r.get_bytes_ref()?.len();
+    let end = buf.len() - r.remaining();
     let (in_flight, resume_seq) = get_cut(&mut r)?;
+    buf.truncate(end);
+    buf.drain(..end - len);
     Ok(CkptWrite {
         state: CkptState::Full(OperatorSnapshot {
-            data,
+            data: buf,
             logical_bytes,
         }),
         next_seq,
@@ -108,8 +118,13 @@ pub fn decode_delta(payload: &[u8]) -> Result<CkptWrite> {
     })
 }
 
+/// Encoded length of a delta payload's header, the two tagged `u64`s
+/// [`decode_delta_base`] reads.
+pub const DELTA_HEADER_BYTES: usize = 18;
+
 /// Reads only a delta payload's header — `(next_seq, base epoch)` —
-/// so chain validation never decodes value bytes.
+/// so chain validation never decodes value bytes: it needs just the
+/// first [`DELTA_HEADER_BYTES`] of the payload.
 pub fn decode_delta_base(payload: &[u8]) -> Result<(u64, EpochId)> {
     let mut r = SnapshotReader::new(payload);
     let next_seq = r.get_u64()?;
@@ -166,6 +181,18 @@ mod tests {
         assert_eq!(back.in_flight.len(), 2);
         assert_eq!(back.in_flight[1].0, 2);
         assert_eq!(back.in_flight[1].1, tup(6));
+        // Decoding in place from a framed file buffer gives the same.
+        let mut file = vec![0xEE; 4];
+        file.extend_from_slice(&encode_ckpt(&w));
+        let owned = decode_full_owned(file, 4).unwrap();
+        let CkptState::Full(o) = &owned.state else {
+            panic!("full expected");
+        };
+        assert_eq!(o.data, s.data);
+        assert_eq!(o.logical_bytes, 999);
+        assert_eq!(owned.next_seq, 17);
+        assert_eq!(owned.in_flight, back.in_flight);
+        assert_eq!(owned.resume_seq, back.resume_seq);
     }
 
     #[test]
@@ -183,7 +210,10 @@ mod tests {
             resume_seq: vec![3],
         };
         let payload = encode_ckpt(&w);
-        assert_eq!(decode_delta_base(&payload).unwrap(), (40, EpochId(12)));
+        assert_eq!(
+            decode_delta_base(&payload[..DELTA_HEADER_BYTES]).unwrap(),
+            (40, EpochId(12))
+        );
         let back = decode_delta(&payload).unwrap();
         let CkptState::Delta { base, delta } = &back.state else {
             panic!("delta expected");

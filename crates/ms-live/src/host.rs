@@ -556,9 +556,11 @@ pub struct InteriorCore {
 /// gauge used to be written only at checkpoint cuts, so heartbeats
 /// between epochs reported the *previous* epoch's size — useless to
 /// the live `+aa` profiler, which needs to see intra-epoch movement.
-/// `state_size()` is a maintained counter for every built-in operator
-/// (e.g. `DeltaTable::value_bytes`), so sampling every 32 tuples costs
-/// one relaxed atomic store amortized 1/32 per tuple.
+/// Sampling costs one `state_size()` call per 32 tuples, and that call
+/// is not free for every operator: `KeyedStat`'s is
+/// `DeltaTable::value_bytes`, which walks every entry (0.83–0.89 ms on
+/// a 65,536-key table on a 2-vCPU Xeon VM), so the keyed interior
+/// spends about 27 µs of it per applied tuple.
 const STATE_GAUGE_SAMPLE_EVERY: u64 = 32;
 
 impl InteriorCore {

@@ -40,6 +40,27 @@
 //! the completing epoch's files (and their bases) are durable, and a
 //! process dying mid-GC leaves extra files, never missing ones.
 //!
+//! # The recovery read path
+//!
+//! Everything between the controller's failure decision and a
+//! redeployed source's first append reads each byte it needs once:
+//!
+//! * **Completeness.** Resolving a chain reads only each delta file's
+//!   frame header and base pointer, with the frame length checked
+//!   against the file size — never the value bytes.
+//! * **Restore.** Each file of the chain is read whole exactly once and
+//!   its frame header skipped in place. A full snapshot's state bytes
+//!   become the restored snapshot without a second buffer, and the
+//!   chain is folded onto them by [`delta::fold`]'s single streaming
+//!   merge into a pre-sized output. The rebase in `put_checkpoint`
+//!   reads and folds the same way.
+//! * **Replay.** The log's frames are walked in place; a record's
+//!   `seq` is peeked at its fixed offset and only records at or after
+//!   the mark are decoded.
+//! * **Reopen.** The first append after a restart walks the log's
+//!   frame headers to its clean prefix and decodes only the last
+//!   record, whose `seq` arms the dedup guard below.
+//!
 //! # Source-log byte cap
 //!
 //! An optional cap bounds each preservation log. An append that would
@@ -71,14 +92,14 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ms_core::codec::{
-    frame, frame_tuples, FrameDecoder, SnapshotReader, SnapshotWriter, FRAME_HEADER_BYTES,
-    MAX_FILE_FRAME_BYTES, MAX_FRAME_BYTES,
+    frame, frame_tuples, SnapshotReader, SnapshotWriter, FRAME_HEADER_BYTES, MAX_FILE_FRAME_BYTES,
+    MAX_FRAME_BYTES,
 };
 use ms_core::delta::{self, StateDelta};
 use ms_core::error::{Error, Result};
@@ -209,20 +230,51 @@ impl FsStore {
 
     /// Decodes the checkpoint stored for `(epoch, op)` — the full file
     /// if present, else the delta file. The file extension disambiguates
-    /// the two payload layouts of the shared codec.
+    /// the two payload layouts of the shared codec. A full snapshot's
+    /// state bytes stay in the buffer the file was read into.
     fn read_ckpt(&self, epoch: EpochId, op: OperatorId) -> Option<CkptWrite> {
-        if let Some(payload) = read_ckpt_frame(&self.full_path(epoch, op)) {
-            return ckpt_codec::decode_full(&payload).ok();
+        if let Some(file) = read_ckpt_file(&self.full_path(epoch, op)) {
+            return ckpt_codec::decode_full_owned(file, FRAME_HEADER_BYTES).ok();
         }
-        let payload = read_ckpt_frame(&self.delta_path(epoch, op))?;
-        ckpt_codec::decode_delta(&payload).ok()
+        let file = read_ckpt_file(&self.delta_path(epoch, op))?;
+        ckpt_codec::decode_delta(&file[FRAME_HEADER_BYTES..]).ok()
     }
 
-    /// Reads only a delta file's base pointer (chain validation reads
-    /// small delta files, never multi-megabyte fulls).
+    /// Reads the delta chain whose newest link is `(epoch, op)`, each
+    /// file once: the full snapshot it rests on and its deltas, oldest
+    /// first. `Err` says where the chain breaks.
+    fn read_chain(&self, epoch: EpochId, op: OperatorId) -> std::result::Result<Chain, String> {
+        let mut deltas = Vec::new();
+        let mut at = epoch;
+        loop {
+            match self.read_ckpt(at, op).map(|c| c.state) {
+                None => return Err(format!("chain broken at {at}")),
+                Some(CkptState::Full(base)) => {
+                    deltas.reverse();
+                    return Ok(Chain { base, deltas });
+                }
+                Some(CkptState::Delta { base, delta }) => {
+                    if base >= at {
+                        return Err(format!("corrupt base pointer at {at}"));
+                    }
+                    deltas.push(delta);
+                    at = base;
+                }
+            }
+        }
+    }
+
+    /// Reads only a delta file's base pointer: the frame header and the
+    /// payload's two leading `u64`s, with the frame length checked
+    /// against the file size — never the delta's value bytes.
     fn delta_base(&self, epoch: EpochId, op: OperatorId) -> Option<EpochId> {
-        let payload = read_ckpt_frame(&self.delta_path(epoch, op))?;
-        ckpt_codec::decode_delta_base(&payload)
+        let mut f = File::open(self.delta_path(epoch, op)).ok()?;
+        let mut head = [0u8; FRAME_HEADER_BYTES + ckpt_codec::DELTA_HEADER_BYTES];
+        f.read_exact(&mut head).ok()?;
+        if !is_one_frame(&head, f.metadata().ok()?.len()) {
+            return None;
+        }
+        ckpt_codec::decode_delta_base(&head[FRAME_HEADER_BYTES..])
             .ok()
             .map(|(_next_seq, base)| base)
     }
@@ -271,8 +323,8 @@ impl FsStore {
 
     /// The replay boundary a source marked for `epoch`, if any.
     fn mark_for(&self, source: OperatorId, epoch: EpochId) -> Option<u64> {
-        read_frames(&self.marks_path(source))
-            .iter()
+        let bytes = fs::read(self.marks_path(source)).ok()?;
+        Frames::new(&bytes)
             .filter_map(|p| {
                 let mut r = SnapshotReader::new(p);
                 Some((r.get_u64().ok()?, r.get_u64().ok()?))
@@ -293,21 +345,19 @@ impl FsStore {
             return Ok(false);
         };
         let path = self.log_path(source);
-        let frames = read_frames(&path);
-        let kept: Vec<&Vec<u8>> = frames
-            .iter()
-            .filter(|p| {
-                SnapshotReader::new(p)
-                    .get_tuple()
-                    .is_ok_and(|t| t.seq >= from_seq)
-            })
-            .collect();
-        if kept.len() == frames.len() {
-            return Ok(false);
-        }
+        let bytes = fs::read(&path).unwrap_or_default();
+        let mut walk = Frames::new(&bytes);
         let mut buf = Vec::new();
-        for p in &kept {
-            buf.extend_from_slice(&frame(p));
+        for p in walk.by_ref() {
+            if SnapshotReader::new(p)
+                .get_tuple()
+                .is_ok_and(|t| t.seq >= from_seq)
+            {
+                buf.extend_from_slice(&frame(p));
+            }
+        }
+        if buf.len() == walk.pos {
+            return Ok(false); // every record is still replayable
         }
         let tmp = self.root.join("log").join(format!(
             ".tmp_{}",
@@ -325,9 +375,10 @@ impl FsStore {
     }
 
     /// Ensures the writer for `source`'s preservation log exists,
-    /// running the cold-open recovery scan — read the whole log once,
-    /// find the clean prefix, trim a torn tail, remember the highest
-    /// durable sequence — exactly when the writer is first created.
+    /// running the cold-open recovery scan — read the log once, walk
+    /// its frame headers to the clean prefix, trim a torn tail, and
+    /// decode only the last record to remember the highest durable
+    /// sequence — exactly when the writer is first created.
     /// Every later append (including a retry after a transient write
     /// error) finds the cached writer and never re-reads the file.
     /// Called with the log mutex held.
@@ -340,15 +391,15 @@ impl FsStore {
             let path = self.log_path(source);
             // Scan what an earlier incarnation already made durable.
             let bytes = fs::read(&path).unwrap_or_default();
-            let clean = clean_prefix_len(&bytes);
-            let mut dec = FrameDecoder::new();
-            dec.feed(&bytes[..clean]);
-            let mut last_seq = None;
-            while let Ok(Some(p)) = dec.next_frame() {
-                if let Ok(t) = SnapshotReader::new(&p).get_tuple() {
-                    last_seq = Some(t.seq);
-                }
-            }
+            let mut walk = Frames::new(&bytes);
+            let last = walk.by_ref().last();
+            let clean = walk.pos;
+            // Appends are seq-ordered, so the last record holds the
+            // highest sequence; only an undecodable last record (a
+            // corrupt log) costs a scan for the last one that decodes.
+            let last_seq = last
+                .and_then(tuple_seq)
+                .or_else(|| Frames::new(&bytes[..clean]).filter_map(tuple_seq).last());
             let file = OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -384,45 +435,63 @@ fn parse_ckpt_epoch(name: &str) -> Option<u64> {
     epoch.parse().ok()
 }
 
-/// Byte length of the longest prefix made of complete frames.
-fn clean_prefix_len(bytes: &[u8]) -> usize {
-    let mut pos = 0;
-    while bytes.len() - pos >= FRAME_HEADER_BYTES {
-        let header: [u8; FRAME_HEADER_BYTES] = bytes[pos..pos + FRAME_HEADER_BYTES]
-            .try_into()
-            .expect("header slice");
-        let len = u32::from_le_bytes(header) as usize;
-        if len > MAX_FRAME_BYTES || bytes.len() - pos - FRAME_HEADER_BYTES < len {
-            break;
+/// The complete frames of a framed log's bytes, walked in place: each
+/// item borrows one payload. The walk stops at the first incomplete
+/// frame — the torn tail a SIGKILL may leave — or an over-cap length;
+/// `pos` is then the byte length of the clean prefix.
+struct Frames<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Frames<'a> {
+    fn new(bytes: &'a [u8]) -> Frames<'a> {
+        Frames { bytes, pos: 0 }
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = &self.bytes[self.pos..];
+        let header = rest.get(..FRAME_HEADER_BYTES)?;
+        let len = u32::from_le_bytes(header.try_into().expect("header slice")) as usize;
+        if len > MAX_FRAME_BYTES {
+            return None;
         }
-        pos += FRAME_HEADER_BYTES + len;
+        let payload = rest.get(FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len)?;
+        self.pos += FRAME_HEADER_BYTES + len;
+        Some(payload)
     }
-    pos
 }
 
-/// Reads every complete frame of a framed file; a torn tail (the one
-/// record a SIGKILL may have cut short) is silently dropped.
-fn read_frames(path: &Path) -> Vec<Vec<u8>> {
-    let Ok(bytes) = fs::read(path) else {
-        return Vec::new();
-    };
-    let mut dec = FrameDecoder::new();
-    dec.feed(&bytes);
-    let mut out = Vec::new();
-    while let Ok(Some(payload)) = dec.next_frame() {
-        out.push(payload);
-    }
-    out
+/// The sequence of a log record that decodes as a tuple.
+fn tuple_seq(payload: &[u8]) -> Option<u64> {
+    SnapshotReader::new(payload).get_tuple().ok().map(|t| t.seq)
 }
 
-/// Reads the single frame of a checkpoint file. Checkpoint files use
-/// the loose file cap — a full snapshot legitimately outgrows the
-/// 64 MiB wire cap that guards TCP reads.
-fn read_ckpt_frame(path: &Path) -> Option<Vec<u8>> {
-    let bytes = fs::read(path).ok()?;
-    let mut dec = FrameDecoder::with_limit(MAX_FILE_FRAME_BYTES);
-    dec.feed(&bytes);
-    dec.next_frame().ok().flatten()
+/// A delta chain as read back from disk (see
+/// [`FsStore::read_chain`]).
+struct Chain {
+    base: OperatorSnapshot,
+    deltas: Vec<StateDelta>,
+}
+
+/// Whether a checkpoint file of `file_len` bytes that starts with
+/// `head` is exactly one complete frame within the file cap — a full
+/// snapshot legitimately outgrows the 64 MiB wire cap that guards TCP
+/// reads.
+fn is_one_frame(head: &[u8], file_len: u64) -> bool {
+    let len = u32::from_le_bytes(head[..FRAME_HEADER_BYTES].try_into().expect("header slice"));
+    len as usize <= MAX_FILE_FRAME_BYTES && FRAME_HEADER_BYTES as u64 + u64::from(len) == file_len
+}
+
+/// Reads a checkpoint file whole, `None` unless it is exactly one
+/// frame; its payload is `file[FRAME_HEADER_BYTES..]`, used in place.
+fn read_ckpt_file(path: &Path) -> Option<Vec<u8>> {
+    let file = fs::read(path).ok()?;
+    (file.len() >= FRAME_HEADER_BYTES && is_one_frame(&file, file.len() as u64)).then_some(file)
 }
 
 impl StableStore for FsStore {
@@ -444,40 +513,25 @@ impl StableStore for FsStore {
                 self.write_ckpt_file(&self.full_path(epoch, op), ckpt_codec::encode_ckpt(&write))?;
             }
             CkptState::Delta { base, delta } => {
-                // Walk the chain the incoming delta would extend.
-                let mut older: Vec<StateDelta> = Vec::new();
-                let mut cum = delta.encoded_bytes() as u64;
-                let mut at = base;
-                let base_snapshot = loop {
-                    match self.read_ckpt(at, op).map(|c| c.state) {
-                        None => {
-                            return Err(Error::Storage(format!(
-                                "delta checkpoint {epoch}/{op}: chain broken at {at}"
-                            )))
-                        }
-                        Some(CkptState::Full(snapshot)) => break snapshot,
-                        Some(CkptState::Delta { base: b, delta: d }) => {
-                            if b >= at {
-                                return Err(Error::Storage(format!(
-                                    "delta checkpoint {epoch}/{op}: corrupt base pointer at {at}"
-                                )));
-                            }
-                            cum += d.encoded_bytes() as u64;
-                            older.push(d);
-                            at = b;
-                        }
-                    }
-                };
+                // Read the chain the incoming delta would extend.
+                let mut chain = self
+                    .read_chain(base, op)
+                    .map_err(|e| Error::Storage(format!("delta checkpoint {epoch}/{op}: {e}")))?;
+                let cum = delta.encoded_bytes() as u64
+                    + chain
+                        .deltas
+                        .iter()
+                        .map(|d| d.encoded_bytes() as u64)
+                        .sum::<u64>();
                 if self.policy.should_rebase(
-                    older.len() as u32 + 1,
+                    chain.deltas.len() as u32 + 1,
                     cum,
-                    base_snapshot.data.len() as u64,
+                    chain.base.data.len() as u64,
                 ) {
                     // Fold the whole chain into a fresh full snapshot.
                     let logical = delta.logical_bytes;
-                    older.reverse();
-                    older.push(delta);
-                    let data = delta::fold(&base_snapshot.data, &older)?;
+                    chain.deltas.push(delta);
+                    let data = delta::fold(&chain.base.data, &chain.deltas)?;
                     let write = CkptWrite {
                         state: CkptState::Full(OperatorSnapshot {
                             data,
@@ -519,42 +573,24 @@ impl StableStore for FsStore {
             in_flight,
             resume_seq,
         } = self.read_ckpt(epoch, op)?;
-        match state {
-            CkptState::Full(snapshot) => Some(LiveHauCheckpoint {
-                snapshot,
-                next_seq,
-                in_flight,
-                resume_seq,
-            }),
+        let snapshot = match state {
+            CkptState::Full(snapshot) => snapshot,
             CkptState::Delta { base, delta } => {
-                let logical = delta.logical_bytes;
-                let mut deltas = vec![delta];
-                let mut at = base;
-                let base_data = loop {
-                    match self.read_ckpt(at, op)?.state {
-                        CkptState::Full(snapshot) => break snapshot.data,
-                        CkptState::Delta { base: b, delta: d } => {
-                            if b >= at {
-                                return None;
-                            }
-                            deltas.push(d);
-                            at = b;
-                        }
-                    }
-                };
-                deltas.reverse();
-                let data = delta::fold(&base_data, &deltas).ok()?;
-                Some(LiveHauCheckpoint {
-                    snapshot: OperatorSnapshot {
-                        data,
-                        logical_bytes: logical,
-                    },
-                    next_seq,
-                    in_flight,
-                    resume_seq,
-                })
+                let logical_bytes = delta.logical_bytes;
+                let mut chain = self.read_chain(base, op).ok()?;
+                chain.deltas.push(delta);
+                OperatorSnapshot {
+                    data: delta::fold(&chain.base.data, &chain.deltas).ok()?,
+                    logical_bytes,
+                }
             }
-        }
+        };
+        Some(LiveHauCheckpoint {
+            snapshot,
+            next_seq,
+            in_flight,
+            resume_seq,
+        })
     }
 
     fn latest_complete(&self) -> Option<EpochId> {
@@ -681,10 +717,12 @@ impl StableStore for FsStore {
 
     fn replay_from(&self, source: OperatorId, epoch: EpochId) -> Vec<Tuple> {
         let from_seq = self.mark_for(source, epoch).unwrap_or(0);
-        read_frames(&self.log_path(source))
-            .iter()
+        let bytes = fs::read(self.log_path(source)).unwrap_or_default();
+        // Records below the mark are skipped on their seq alone; only
+        // the replayed suffix is decoded.
+        Frames::new(&bytes)
+            .filter(|p| SnapshotReader::peek_tuple_seq(p).is_some_and(|s| s >= from_seq))
             .filter_map(|p| SnapshotReader::new(p).get_tuple().ok())
-            .filter(|t| t.seq >= from_seq)
             .collect()
     }
 
@@ -694,7 +732,7 @@ impl StableStore for FsStore {
         };
         entries
             .flatten()
-            .map(|e| read_frames(&e.path()).len())
+            .map(|e| fs::read(e.path()).map_or(0, |b| Frames::new(&b).count()))
             .sum()
     }
 }
@@ -947,8 +985,12 @@ mod tests {
             .unwrap();
         live.put_checkpoint(EpochId(2), OperatorId(0), w2.clone())
             .unwrap();
-        let on_disk = read_ckpt_frame(&dir.join("ckpt").join("e2_op0.delta")).unwrap();
-        assert_eq!(on_disk, ckpt_codec::encode_ckpt(&w2), "one format on disk");
+        let on_disk = read_ckpt_file(&dir.join("ckpt").join("e2_op0.delta")).unwrap();
+        assert_eq!(
+            on_disk,
+            frame(&ckpt_codec::encode_ckpt(&w2)),
+            "one format on disk"
+        );
         let a = fs_store.get_checkpoint(EpochId(2), OperatorId(0)).unwrap();
         let b = live.get_checkpoint(EpochId(2), OperatorId(0)).unwrap();
         assert_eq!(a.snapshot.data, b.snapshot.data, "folds byte-identical");
