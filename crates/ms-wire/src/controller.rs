@@ -8,23 +8,43 @@
 //! `e+1` tokens are only broadcast once every HAU's epoch-`e`
 //! checkpoint has been acked durable (`CkptDone`), so two epochs'
 //! tokens can never race through the graph no matter how short the
-//! cadence. Workers heartbeat continuously on a dedicated heartbeat
-//! connection; a heartbeat silence longer than the timeout on any
-//! worker that hosts operators is a failure, and a `WorkerError`
-//! report (storage failure, failed deploy) rolls the generation back
-//! without waiting for a timeout. Recovery is the paper's §IV sequence:
+//! cadence.
+//!
+//! Failure detection has two detectors, and both feed one rollback
+//! path:
+//!
+//! * **Crash — connection closed.** A worker closes its control
+//!   connection only when its control loop exits, and the kernel
+//!   closes it when the process dies (SIGKILL, OOM kill, abort). The
+//!   end of the control connection of a worker's *current*
+//!   registration therefore marks the worker dead at once, in every
+//!   controller state. Each accepted connection carries an id, so the
+//!   close of a heartbeat-only connection, or of a connection a
+//!   re-registration superseded, proves nothing and is ignored.
+//! * **Silent failure — heartbeat timeout.** Workers heartbeat on a
+//!   dedicated connection; silence longer than `--hb-timeout-ms` on a
+//!   deployed worker is a failure. This is the only detector for a
+//!   stopped process, machine or power loss, or a partition: no
+//!   socket closes in any of those.
+//!
+//! A `WorkerError` report (storage failure, failed deploy) and a
+//! stalled epoch barrier roll the generation back too, without any
+//! worker being declared dead. Recovery is the paper's §IV sequence:
 //! broadcast `Rollback` to the survivors, wait briefly for a spare to
 //! register, read the latest *complete* application checkpoint off the
 //! shared stable store, and broadcast a new generation restoring from
-//! it (sources replay their preserved logs past that boundary). When
-//! every sink reports its final state, the controller writes the
-//! result file and shuts the cluster down — the recovered answer is
-//! byte-identical to a failure-free run, which the integration test
-//! asserts by diffing the two result files.
+//! it (sources replay their preserved logs past that boundary).
+//! Deployment is event-driven: a registration or a lost worker checks
+//! readiness at once, and the periodic tick only paces checkpoints and
+//! runs the timeout detectors. When every sink reports its final
+//! state, the controller writes the result file and shuts the cluster
+//! down — the recovered answer is byte-identical to a failure-free
+//! run, which the integration test asserts by diffing the two result
+//! files.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Write;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,7 +68,6 @@ use crate::ledger::{read_ledger, DecisionRecord, LedgerRecord, LedgerWriter, LED
 use crate::message::{recv_msg, send_msg, Assignment, GateSpec, OpPlacement, WireMsg};
 use crate::store::FsStore;
 
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 const TICK: Duration = Duration::from_millis(25);
 /// Queued-tuple counts at/above this print a backpressure stall line…
 const STALL_HI: u64 = 512;
@@ -158,8 +177,13 @@ impl ClusterReport {
     }
 }
 
+/// Identifies one accepted connection for its lifetime; never reused
+/// within a controller run.
+type ConnId = u64;
+
 enum Event {
     Register {
+        conn: ConnId,
         name: String,
         data_addr: String,
         writer: TcpStream,
@@ -198,13 +222,17 @@ enum Event {
         name: String,
         detail: String,
     },
+    /// A connection ended (EOF, reset, or a protocol violation).
     ConnLost {
+        conn: ConnId,
         name: String,
     },
     Tick,
 }
 
 struct Worker {
+    /// The control connection of this registration.
+    conn: ConnId,
     name: String,
     data_addr: String,
     writer: TcpStream,
@@ -221,7 +249,7 @@ struct Worker {
 /// `HeartbeatHello` (dedicated heartbeat connection) first, then pumps
 /// heartbeats, checkpoint acks, faults, and sink reports into the
 /// event queue until the connection dies.
-fn reader(mut stream: TcpStream, events: Sender<Event>) {
+fn reader(conn: ConnId, mut stream: TcpStream, events: Sender<Event>) {
     let name = match recv_msg(&mut stream) {
         Ok(Some(WireMsg::Register { name, data_addr })) => {
             let Ok(writer) = stream.try_clone() else {
@@ -229,6 +257,7 @@ fn reader(mut stream: TcpStream, events: Sender<Event>) {
             };
             if events
                 .send(Event::Register {
+                    conn,
                     name: name.clone(),
                     data_addr,
                     writer,
@@ -288,7 +317,7 @@ fn reader(mut stream: TcpStream, events: Sender<Event>) {
                 detail,
             },
             _ => {
-                let _ = events.send(Event::ConnLost { name });
+                let _ = events.send(Event::ConnLost { conn, name });
                 return;
             }
         };
@@ -321,12 +350,11 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
         );
     }
     let store = FsStore::open(&cfg.store_dir, qn.len())?;
-    let n_sinks = qn.sinks().len();
     // The run ledger lives next to the checkpoints, opened in append
     // mode so one trail spans every generation of the run. Telemetry
     // is advisory: a ledger that cannot be opened disables the trail
     // but never fails the cluster.
-    let mut ledger = match LedgerWriter::open(&cfg.store_dir.join(LEDGER_FILE)) {
+    let ledger = match LedgerWriter::open(&cfg.store_dir.join(LEDGER_FILE)) {
         Ok(l) => Some(l),
         Err(e) => {
             eprintln!("ms-controller: run ledger disabled: {e}");
@@ -335,32 +363,29 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
     };
 
     let listener = TcpListener::bind(cfg.listen.as_str())?;
-    let addr = listener.local_addr()?.to_string();
+    let addr = listener.local_addr()?;
     if let Some(path) = &cfg.addr_file {
-        publish_addr(path, &addr)?;
+        publish_addr(path, &addr.to_string())?;
     }
     println!("ms-controller: listening on {addr}");
-    listener.set_nonblocking(true)?;
 
     let (etx, erx) = unbounded::<Event>();
     let stop = Arc::new(AtomicBool::new(false));
 
+    // Blocks in accept(2); shutdown wakes it with a connection of its
+    // own (`wake_accept`) after raising `stop`.
     let accept_stop = stop.clone();
     let accept_etx = etx.clone();
-    let accept = thread::spawn(move || loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let etx = accept_etx.clone();
-                // Detached; exits when the worker's connection closes.
-                thread::spawn(move || reader(stream, etx));
+    let accept = thread::spawn(move || {
+        for (conn, stream) in (0..).zip(listener.incoming()) {
+            if accept_stop.load(Ordering::SeqCst) {
+                return;
             }
-            Err(_) => {
-                if accept_stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                thread::sleep(ACCEPT_POLL);
-            }
+            let Ok(stream) = stream else { continue };
+            let _ = stream.set_nodelay(true);
+            let etx = accept_etx.clone();
+            // Detached; exits when the worker's connection closes.
+            thread::spawn(move || reader(conn, stream, etx));
         }
     });
     let tick_stop = stop.clone();
@@ -374,57 +399,135 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
     });
 
     let deadline = Instant::now() + cfg.deadline;
-    let mut workers: Vec<Worker> = Vec::new();
-    // A controller started onto a store with history is a restarted
-    // controller (the double-fault scenario): resume epoch numbering
-    // strictly past every epoch any incarnation ever started, resume
-    // generation numbering past the ledger's last record, and restore
-    // the first deployment from the latest complete checkpoint rather
-    // than replaying the run from scratch.
-    let mut next_epoch = store.max_epoch_started().unwrap_or(EpochId::INITIAL);
-    let mut generation = read_ledger(&cfg.store_dir.join(LEDGER_FILE))
-        .ok()
-        .and_then(|recs| recs.iter().map(|r| r.generation).max())
-        .unwrap_or(0);
-    let resumed = next_epoch != EpochId::INITIAL || generation > 0;
-    if resumed {
-        println!(
-            "ms-controller: resuming on existing store \
-             (generation > {generation}, epoch > {next_epoch})"
-        );
-    }
-    let mut last_ckpt = Instant::now();
-    let mut deployed = false;
-    let mut recovering_since: Option<Instant> = None;
-    // The epoch barrier: the epoch whose durable acks are still
-    // outstanding, and the HAUs that acked it so far. While `Some`,
-    // no further checkpoint token is broadcast — epoch `e+1` tokens
-    // only enter the graph once every HAU's epoch-`e` checkpoint is
-    // durable.
-    let mut outstanding: Option<EpochId> = None;
-    let mut outstanding_since = Instant::now();
-    let mut acked: HashSet<OperatorId> = HashSet::new();
-    // Freshest telemetry sample per operator (current generation only)
-    // and where each operator runs, for folding the hosting worker's
-    // backpressure gauges into that operator's ledger records.
-    let mut latest: HashMap<OperatorId, OperatorSample> = HashMap::new();
-    // Freshest gateway sample per gate op (cumulative counters, so the
-    // newest heartbeat sweep always supersedes).
-    let mut latest_gate: HashMap<OperatorId, GateSample> = HashMap::new();
-    let mut op_worker: HashMap<OperatorId, String> = HashMap::new();
-    let n_ops_total = qn.len();
-    let mut report = ClusterReport {
-        recoveries: 0,
-        checkpoints: 0,
-        restore_epochs: Vec::new(),
-        sink_states: BTreeMap::new(),
+    let mut ctl = Controller::new(&cfg, qn, plan, store, ledger);
+    let outcome = loop {
+        let event = match erx.recv() {
+            Ok(e) => e,
+            Err(_) => break Err(Error::Wire("controller event queue died".into())),
+        };
+        let now = Instant::now();
+        if now > deadline {
+            break Err(Error::Wire(format!(
+                "controller deadline ({:?}) exceeded",
+                cfg.deadline
+            )));
+        }
+        if ctl.handle(event, now) {
+            break Ok(());
+        }
     };
-    // The live telemetry plane: §III-C aware barrier initiation
-    // (`--aware`) and/or the adaptive cadence layer
-    // (`--recovery-budget-ms`). `None` keeps the legacy fixed timer
-    // bit-for-bit (and writes no decision records).
-    let mut plane: Option<TelemetryPlane> =
-        (cfg.aware || cfg.recovery_budget.is_some()).then(|| {
+    // The answer is final once the last sink reports: publish it
+    // before the teardown below, which waits on the helper threads.
+    if let (Ok(()), Some(path)) = (&outcome, &cfg.result_file) {
+        if let Err(e) = std::fs::File::create(path)
+            .and_then(|mut f| f.write_all(ctl.report.render().as_bytes()))
+        {
+            eprintln!("ms-controller: result file {path:?} not written: {e}");
+        }
+    }
+
+    // Shut the cluster down whatever happened; closing the writers
+    // also unblocks any reader thread still parked on a live socket.
+    for w in ctl.workers.iter_mut().filter(|w| w.alive) {
+        let _ = send_msg(&mut w.writer, &WireMsg::Shutdown);
+    }
+    for w in ctl.workers.iter_mut() {
+        let _ = w.writer.shutdown(Shutdown::Both);
+    }
+    stop.store(true, Ordering::SeqCst);
+    if wake_accept(addr) {
+        let _ = accept.join();
+    }
+    let _ = ticker.join();
+
+    outcome.map(|()| ctl.report)
+}
+
+/// Unblocks the accept thread with a connection of its own. Returns
+/// whether that connection was made; if not, the thread is left
+/// parked in accept(2) rather than joined.
+fn wake_accept(mut addr: SocketAddr) -> bool {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect(addr).is_ok()
+}
+
+/// The controller's state between events: membership, the deployed
+/// generation, the epoch barrier, and the recovery bookkeeping.
+struct Controller<'a> {
+    cfg: &'a ControllerConfig,
+    qn: QueryNetwork,
+    plan: ShardPlan,
+    store: FsStore,
+    ledger: Option<LedgerWriter>,
+    /// The live telemetry plane: §III-C aware barrier initiation
+    /// (`--aware`) and/or the adaptive cadence layer
+    /// (`--recovery-budget-ms`). `None` keeps the legacy fixed timer
+    /// bit-for-bit (and writes no decision records).
+    plane: Option<TelemetryPlane>,
+    n_sinks: usize,
+    /// Started onto a store with history (see [`Controller::new`]).
+    resumed: bool,
+    workers: Vec<Worker>,
+    next_epoch: EpochId,
+    generation: u64,
+    last_ckpt: Instant,
+    deployed: bool,
+    recovering_since: Option<Instant>,
+    /// Measured recovery clock: armed when a failure is detected, read
+    /// at the first barrier close of the restored generation.
+    recovery_t0: Option<Instant>,
+    /// The epoch barrier: the epoch whose durable acks are still
+    /// outstanding, and the HAUs that acked it so far. While `Some`,
+    /// no further checkpoint token is broadcast — epoch `e+1` tokens
+    /// only enter the graph once every HAU's epoch-`e` checkpoint is
+    /// durable.
+    outstanding: Option<EpochId>,
+    outstanding_since: Instant,
+    acked: HashSet<OperatorId>,
+    /// Freshest telemetry sample per operator (current generation
+    /// only), for the operator's ledger records.
+    latest: HashMap<OperatorId, OperatorSample>,
+    /// Freshest gateway sample per gate op (cumulative counters, so
+    /// the newest heartbeat sweep always supersedes).
+    latest_gate: HashMap<OperatorId, GateSample>,
+    /// Where each operator runs, for folding the hosting worker's
+    /// backpressure gauges into that operator's ledger records.
+    op_worker: HashMap<OperatorId, String>,
+    report: ClusterReport,
+}
+
+impl<'a> Controller<'a> {
+    fn new(
+        cfg: &'a ControllerConfig,
+        qn: QueryNetwork,
+        plan: ShardPlan,
+        store: FsStore,
+        ledger: Option<LedgerWriter>,
+    ) -> Controller<'a> {
+        // A controller started onto a store with history is a restarted
+        // controller (the double-fault scenario): resume epoch numbering
+        // strictly past every epoch any incarnation ever started, resume
+        // generation numbering past the ledger's last record, and restore
+        // the first deployment from the latest complete checkpoint rather
+        // than replaying the run from scratch.
+        let next_epoch = store.max_epoch_started().unwrap_or(EpochId::INITIAL);
+        let generation = read_ledger(&cfg.store_dir.join(LEDGER_FILE))
+            .ok()
+            .and_then(|recs| recs.iter().map(|r| r.generation).max())
+            .unwrap_or(0);
+        let resumed = next_epoch != EpochId::INITIAL || generation > 0;
+        if resumed {
+            println!(
+                "ms-controller: resuming on existing store \
+                 (generation > {generation}, epoch > {next_epoch})"
+            );
+        }
+        let plane = (cfg.aware || cfg.recovery_budget.is_some()).then(|| {
             TelemetryPlane::new(&PlaneConfig {
                 aware: cfg.aware,
                 sample_interval: cfg.aware_sample,
@@ -433,43 +536,65 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
                 recovery_budget: cfg.recovery_budget,
             })
         });
-    // Measured recovery clock: armed when a failure is detected, read
-    // at the first barrier close of the restored generation.
-    let mut recovery_t0: Option<Instant> = None;
-
-    let outcome = loop {
-        let event = match erx.recv() {
-            Ok(e) => e,
-            Err(_) => break Err(Error::Wire("controller event queue died".into())),
-        };
-        if Instant::now() > deadline {
-            break Err(Error::Wire(format!(
-                "controller deadline ({:?}) exceeded",
-                cfg.deadline
-            )));
+        Controller {
+            cfg,
+            n_sinks: qn.sinks().len(),
+            qn,
+            plan,
+            store,
+            ledger,
+            plane,
+            resumed,
+            workers: Vec::new(),
+            next_epoch,
+            generation,
+            last_ckpt: Instant::now(),
+            deployed: false,
+            recovering_since: None,
+            recovery_t0: None,
+            outstanding: None,
+            outstanding_since: Instant::now(),
+            acked: HashSet::new(),
+            latest: HashMap::new(),
+            latest_gate: HashMap::new(),
+            op_worker: HashMap::new(),
+            report: ClusterReport {
+                recoveries: 0,
+                checkpoints: 0,
+                restore_epochs: Vec::new(),
+                sink_states: BTreeMap::new(),
+            },
         }
+    }
+
+    /// Applies one event; returns `true` once every sink has reported
+    /// its final state.
+    fn handle(&mut self, event: Event, now: Instant) -> bool {
         match event {
             Event::Register {
+                conn,
                 name,
                 data_addr,
                 writer,
             } => {
                 println!("ms-controller: worker {name} registered at {data_addr}");
-                workers.retain(|w| w.name != name);
-                workers.push(Worker {
+                self.workers.retain(|w| w.name != name);
+                self.workers.push(Worker {
+                    conn,
                     name,
                     data_addr,
                     writer,
-                    last_beat: Instant::now(),
+                    last_beat: now,
                     alive: true,
                     has_ops: false,
                     gauges: BackpressureGauges::default(),
                     stalled: false,
                 });
+                self.try_deploy(now);
             }
             Event::Beat { name, gauges } => {
-                if let Some(w) = workers.iter_mut().find(|w| w.name == name) {
-                    w.last_beat = Instant::now();
+                if let Some(w) = self.workers.iter_mut().find(|w| w.name == name) {
+                    w.last_beat = now;
                     w.gauges = gauges;
                     // Surface sustained backpressure (deep input queues
                     // relative to the bounded channels) without spamming
@@ -488,32 +613,43 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
                     }
                 }
             }
-            Event::ConnLost { name } => {
-                // Heartbeats from this worker have necessarily stopped;
-                // let the timeout-based detector classify the failure,
-                // as the paper's controller does.
-                println!("ms-controller: lost connection to {name}");
+            Event::ConnLost { conn, name } => {
+                // Only the control connection of the name's current
+                // registration proves the process gone: the worker
+                // closes it only when its control loop exits, the
+                // kernel when the process dies. A heartbeat-only or a
+                // superseded connection proves nothing; a silent
+                // failure behind it is the heartbeat timeout's to find.
+                match self.workers.iter().position(|w| w.alive && w.conn == conn) {
+                    Some(i) => {
+                        if self.mark_dead(i, "connection closed") && self.deployed {
+                            self.roll_back(now);
+                        }
+                        self.try_deploy(now);
+                    }
+                    None => println!("ms-controller: lost connection to {name}"),
+                }
             }
             Event::Telemetry {
                 generation: g,
                 samples,
             } => {
-                if g == generation && deployed {
+                if g == self.generation && self.deployed {
                     for (op, s) in samples {
                         // Heartbeat-cadence samples race the per-ack
                         // samples across two connections; never let a
                         // stale heartbeat sweep roll an operator's
                         // checkpoint record back an epoch.
-                        match latest.get(&op) {
+                        match self.latest.get(&op) {
                             Some(old) if s.ckpt_epoch < old.ckpt_epoch => {}
                             _ => {
                                 // Sub-epoch state-size samples feed the
                                 // live §III-C profiler; the plane stamps
                                 // them onto its own clock at receipt.
-                                if let Some(pl) = plane.as_mut() {
+                                if let Some(pl) = self.plane.as_mut() {
                                     pl.ingest(op, s.state_bytes);
                                 }
-                                latest.insert(op, s);
+                                self.latest.insert(op, s);
                             }
                         }
                     }
@@ -523,10 +659,8 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
                 generation: g,
                 samples,
             } => {
-                if g == generation && deployed {
-                    for (op, s) in samples {
-                        latest_gate.insert(op, s);
-                    }
+                if g == self.generation && self.deployed {
+                    self.latest_gate.extend(samples);
                 }
             }
             Event::CkptAck {
@@ -534,79 +668,10 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
                 epoch,
                 op,
             } => {
-                if g == generation && deployed && outstanding == Some(epoch) {
-                    acked.insert(op);
-                    if acked.len() >= n_ops_total {
-                        // Epoch durable everywhere: open the barrier
-                        // and cut one ledger record per operator. The
-                        // workers send a fresh sample ahead of each
-                        // `CkptDone` on the same connection, so by now
-                        // `latest` holds every operator's epoch-`epoch`
-                        // checkpoint phases.
-                        let barrier_us = outstanding_since.elapsed().as_micros() as u64;
-                        if let Some(l) = ledger.as_mut() {
-                            let close = BarrierClose {
-                                generation,
-                                epoch,
-                                barrier_us,
-                                plan: &plan,
-                            };
-                            write_ledger_epoch(
-                                l,
-                                &close,
-                                &latest,
-                                &latest_gate,
-                                &op_worker,
-                                &workers,
-                            );
-                        }
-                        // First barrier close after a restore marks the
-                        // cluster caught up: read the recovery clock
-                        // into the decision ledger. Written with or
-                        // without the telemetry plane, so fixed-period
-                        // baselines report measured recovery too.
-                        if let Some(t0) = recovery_t0.take() {
-                            let period_us = plane
-                                .as_ref()
-                                .map_or(cfg.ckpt_interval, TelemetryPlane::period)
-                                .as_micros() as u64;
-                            let rec = DecisionRecord {
-                                generation,
-                                epoch: epoch.0,
-                                reason: "recovery".to_string(),
-                                state_bytes: latest.values().map(|s| s.state_bytes).sum(),
-                                ckpt_bytes: 0,
-                                barrier_us,
-                                est_recovery_us: 0,
-                                budget_us: cfg.recovery_budget.map_or(0, |b| b.as_micros() as u64),
-                                period_us_before: period_us,
-                                period_us_after: period_us,
-                                recovery_us: t0.elapsed().as_micros() as u64,
-                            };
-                            if let Some(l) = ledger.as_mut() {
-                                let _ = l.append_decision(&rec);
-                            }
-                        }
-                        if let Some(pl) = plane.as_mut() {
-                            let sig = EpochSignals {
-                                generation,
-                                epoch: epoch.0,
-                                state_bytes: latest.values().map(|s| s.state_bytes).sum(),
-                                ckpt_bytes: latest.values().map(|s| s.ckpt_bytes).sum(),
-                                barrier_us,
-                                persist_us: latest
-                                    .values()
-                                    .map(|s| s.persist_us)
-                                    .max()
-                                    .unwrap_or(0),
-                            };
-                            if let Some(d) = pl.on_barrier_close(&sig) {
-                                if let Some(l) = ledger.as_mut() {
-                                    let _ = l.append_decision(&d);
-                                }
-                            }
-                        }
-                        outstanding = None;
+                if g == self.generation && self.deployed && self.outstanding == Some(epoch) {
+                    self.acked.insert(op);
+                    if self.acked.len() >= self.qn.len() {
+                        self.close_barrier(epoch);
                     }
                 }
             }
@@ -615,22 +680,12 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
                 name,
                 detail,
             } => {
-                if g == generation && deployed {
+                if g == self.generation && self.deployed {
                     // The worker process is healthy — its generation is
                     // not. Roll back and redeploy, same as a crash but
-                    // without waiting out a heartbeat timeout.
+                    // without any worker declared dead.
                     println!("ms-controller: worker {name} reported fault: {detail}");
-                    report.recoveries += 1;
-                    deployed = false;
-                    recovering_since = Some(Instant::now());
-                    recovery_t0 = Some(Instant::now());
-                    report.sink_states.clear();
-                    outstanding = None;
-                    acked.clear();
-                    for w in workers.iter_mut().filter(|w| w.alive) {
-                        let _ = send_msg(&mut w.writer, &WireMsg::Rollback);
-                    }
-                    println!("ms-controller: rolling back generation {generation}");
+                    self.roll_back(now);
                 }
             }
             Event::SinkDone {
@@ -638,156 +693,229 @@ pub fn run_controller(cfg: ControllerConfig) -> Result<ClusterReport> {
                 op,
                 snapshot,
             } => {
-                if g == generation && deployed {
+                if g == self.generation && self.deployed {
                     println!("ms-controller: sink {op} finished (generation {g})");
-                    report.sink_states.insert(op, snapshot);
-                    if report.sink_states.len() == n_sinks {
-                        break Ok(());
-                    }
+                    self.report.sink_states.insert(op, snapshot);
+                    return self.report.sink_states.len() == self.n_sinks;
                 }
             }
-            Event::Tick => {
-                let now = Instant::now();
-                if deployed {
-                    // Failure detection: heartbeat silence on any
-                    // operator-hosting worker.
-                    let failed: Vec<String> = workers
-                        .iter()
-                        .filter(|w| w.alive && now.duration_since(w.last_beat) > cfg.hb_timeout)
-                        .map(|w| w.name.clone())
-                        .collect();
-                    let lost_ops = workers
-                        .iter()
-                        .any(|w| failed.contains(&w.name) && w.has_ops);
-                    for w in workers.iter_mut() {
-                        if failed.contains(&w.name) {
-                            println!(
-                                "ms-controller: worker {} failed (heartbeat timeout)",
-                                w.name
-                            );
-                            w.alive = false;
-                            let _ = w.writer.shutdown(Shutdown::Both);
-                        }
-                    }
-                    let stalled_barrier = !lost_ops
-                        && outstanding.is_some()
-                        && cfg
-                            .barrier_stall
-                            .is_some_and(|limit| now.duration_since(outstanding_since) > limit);
-                    if lost_ops || stalled_barrier {
-                        if stalled_barrier {
-                            println!(
-                                "ms-controller: epoch {} barrier stalled {:?} (partition?)",
-                                outstanding.expect("stalled_barrier implies outstanding"),
-                                now.duration_since(outstanding_since)
-                            );
-                        }
-                        report.recoveries += 1;
-                        deployed = false;
-                        recovering_since = Some(now);
-                        recovery_t0 = Some(now);
-                        report.sink_states.clear();
-                        outstanding = None;
-                        acked.clear();
-                        for w in workers.iter_mut().filter(|w| w.alive) {
-                            let _ = send_msg(&mut w.writer, &WireMsg::Rollback);
-                        }
-                        println!("ms-controller: rolling back generation {generation}");
-                    } else if outstanding.is_none() {
-                        // The barrier is open (previous epoch durable
-                        // on every HAU): ask the telemetry plane — or,
-                        // without one, the fixed timer — whether the
-                        // next token should enter now.
-                        let cause = match plane.as_mut() {
-                            Some(pl) => pl.poll(now.duration_since(last_ckpt)),
-                            None => (now.duration_since(last_ckpt) >= cfg.ckpt_interval)
-                                .then_some(CheckpointCause::Timer),
-                        };
-                        if let Some(cause) = cause {
-                            next_epoch = next_epoch.next();
-                            report.checkpoints += 1;
-                            last_ckpt = now;
-                            outstanding = Some(next_epoch);
-                            outstanding_since = now;
-                            acked.clear();
-                            if let (Some(pl), Some(l)) = (plane.as_ref(), ledger.as_mut()) {
-                                let rec = pl.initiation_record(generation, next_epoch.0, cause);
-                                let _ = l.append_decision(&rec);
-                            }
-                            for w in workers.iter_mut().filter(|w| w.alive) {
-                                let _ = send_msg(&mut w.writer, &WireMsg::Checkpoint(next_epoch));
-                            }
-                        }
-                    }
-                }
-                let live = workers.iter().filter(|w| w.alive).count();
-                if !deployed {
-                    let ready = match recovering_since {
-                        // Initial deployment: wait for the configured
-                        // cluster size.
-                        None => live >= cfg.workers,
-                        // Redeployment: prefer a full bench (a spare
-                        // may be mid-registration), but continue with
-                        // the survivors after `respawn_wait`.
-                        Some(t0) => {
-                            live >= cfg.workers
-                                || (now.duration_since(t0) > cfg.respawn_wait && live >= 1)
-                        }
-                    };
-                    if ready {
-                        let restore = match recovering_since.take() {
-                            Some(_) => {
-                                let e = store.latest_complete();
-                                report.restore_epochs.push(e);
-                                e
-                            }
-                            // A resumed controller's "first" deployment
-                            // is a recovery of the interrupted run.
-                            None if resumed => {
-                                let e = store.latest_complete();
-                                report.recoveries += 1;
-                                report.restore_epochs.push(e);
-                                e
-                            }
-                            None => None,
-                        };
-                        generation += 1;
-                        let placement = deploy(&qn, &plan, &cfg, generation, restore, &mut workers);
-                        op_worker = placement.into_iter().map(|p| (p.op, p.worker)).collect();
-                        latest.clear();
-                        latest_gate.clear();
-                        deployed = true;
-                        last_ckpt = now;
-                        outstanding = None;
-                        acked.clear();
-                    }
+            Event::Tick => self.tick(now),
+        }
+        false
+    }
+
+    /// Epoch durable everywhere: open the barrier and cut one ledger
+    /// record per operator. The workers send a fresh sample ahead of
+    /// each `CkptDone` on the same connection, so by now `latest`
+    /// holds every operator's epoch-`epoch` checkpoint phases.
+    fn close_barrier(&mut self, epoch: EpochId) {
+        let generation = self.generation;
+        let barrier_us = self.outstanding_since.elapsed().as_micros() as u64;
+        if let Some(l) = self.ledger.as_mut() {
+            let close = BarrierClose {
+                generation,
+                epoch,
+                barrier_us,
+                plan: &self.plan,
+            };
+            write_ledger_epoch(
+                l,
+                &close,
+                &self.latest,
+                &self.latest_gate,
+                &self.op_worker,
+                &self.workers,
+            );
+        }
+        // First barrier close after a restore marks the cluster caught
+        // up: read the recovery clock into the decision ledger. Written
+        // with or without the telemetry plane, so fixed-period
+        // baselines report measured recovery too.
+        if let Some(t0) = self.recovery_t0.take() {
+            let period_us = self
+                .plane
+                .as_ref()
+                .map_or(self.cfg.ckpt_interval, TelemetryPlane::period)
+                .as_micros() as u64;
+            let rec = DecisionRecord {
+                generation,
+                epoch: epoch.0,
+                reason: "recovery".to_string(),
+                state_bytes: self.latest.values().map(|s| s.state_bytes).sum(),
+                ckpt_bytes: 0,
+                barrier_us,
+                est_recovery_us: 0,
+                budget_us: self.cfg.recovery_budget.map_or(0, |b| b.as_micros() as u64),
+                period_us_before: period_us,
+                period_us_after: period_us,
+                recovery_us: t0.elapsed().as_micros() as u64,
+            };
+            if let Some(l) = self.ledger.as_mut() {
+                let _ = l.append_decision(&rec);
+            }
+        }
+        if let Some(pl) = self.plane.as_mut() {
+            let sig = EpochSignals {
+                generation,
+                epoch: epoch.0,
+                state_bytes: self.latest.values().map(|s| s.state_bytes).sum(),
+                ckpt_bytes: self.latest.values().map(|s| s.ckpt_bytes).sum(),
+                barrier_us,
+                persist_us: self
+                    .latest
+                    .values()
+                    .map(|s| s.persist_us)
+                    .max()
+                    .unwrap_or(0),
+            };
+            if let Some(d) = pl.on_barrier_close(&sig) {
+                if let Some(l) = self.ledger.as_mut() {
+                    let _ = l.append_decision(&d);
                 }
             }
         }
-    };
-
-    // Shut the cluster down whatever happened; closing the writers
-    // also unblocks any reader thread still parked on a live socket.
-    for w in workers.iter_mut().filter(|w| w.alive) {
-        let _ = send_msg(&mut w.writer, &WireMsg::Shutdown);
+        self.outstanding = None;
     }
-    for w in workers.iter_mut() {
+
+    /// The periodic work: the heartbeat-timeout and barrier-stall
+    /// detectors and checkpoint pacing while deployed, and the
+    /// `respawn_wait` expiry while redeployment waits for a spare.
+    fn tick(&mut self, now: Instant) {
+        if self.deployed {
+            // Silent-failure detection: heartbeat silence on any live
+            // worker; a rollback if one of them hosted operators.
+            let mut lost_ops = false;
+            for i in 0..self.workers.len() {
+                let w = &self.workers[i];
+                if w.alive && now.duration_since(w.last_beat) > self.cfg.hb_timeout {
+                    lost_ops |= self.mark_dead(i, "heartbeat timeout");
+                }
+            }
+            let stalled_barrier = !lost_ops
+                && self.outstanding.is_some()
+                && self
+                    .cfg
+                    .barrier_stall
+                    .is_some_and(|limit| now.duration_since(self.outstanding_since) > limit);
+            if stalled_barrier {
+                println!(
+                    "ms-controller: epoch {} barrier stalled {:?} (partition?)",
+                    self.outstanding
+                        .expect("stalled_barrier implies outstanding"),
+                    now.duration_since(self.outstanding_since)
+                );
+            }
+            if lost_ops || stalled_barrier {
+                self.roll_back(now);
+            } else if self.outstanding.is_none() {
+                self.pace_checkpoint(now);
+            }
+        }
+        self.try_deploy(now);
+    }
+
+    /// The barrier is open (previous epoch durable on every HAU): ask
+    /// the telemetry plane — or, without one, the fixed timer — whether
+    /// the next token should enter now.
+    fn pace_checkpoint(&mut self, now: Instant) {
+        let since = now.duration_since(self.last_ckpt);
+        let cause = match self.plane.as_mut() {
+            Some(pl) => pl.poll(since),
+            None => (since >= self.cfg.ckpt_interval).then_some(CheckpointCause::Timer),
+        };
+        let Some(cause) = cause else { return };
+        self.next_epoch = self.next_epoch.next();
+        self.report.checkpoints += 1;
+        self.last_ckpt = now;
+        self.outstanding = Some(self.next_epoch);
+        self.outstanding_since = now;
+        self.acked.clear();
+        if let (Some(pl), Some(l)) = (self.plane.as_ref(), self.ledger.as_mut()) {
+            let rec = pl.initiation_record(self.generation, self.next_epoch.0, cause);
+            let _ = l.append_decision(&rec);
+        }
+        for w in self.workers.iter_mut().filter(|w| w.alive) {
+            let _ = send_msg(&mut w.writer, &WireMsg::Checkpoint(self.next_epoch));
+        }
+    }
+
+    /// Declares worker `i` dead, naming the detector that fired, and
+    /// closes its control connection. Returns whether it hosted
+    /// operators of the current placement.
+    fn mark_dead(&mut self, i: usize, detector: &str) -> bool {
+        let w = &mut self.workers[i];
+        println!("ms-controller: worker {} failed ({detector})", w.name);
+        w.alive = false;
         let _ = w.writer.shutdown(Shutdown::Both);
+        w.has_ops
     }
-    stop.store(true, Ordering::SeqCst);
-    let _ = ticker.join();
-    let _ = accept.join();
 
-    outcome.map(|()| {
-        if let Some(path) = &cfg.result_file {
-            if let Err(e) = std::fs::File::create(path)
-                .and_then(|mut f| f.write_all(report.render().as_bytes()))
-            {
-                eprintln!("ms-controller: result file {path:?} not written: {e}");
-            }
+    /// The one failure path, whatever detected the failure: count the
+    /// recovery, arm the recovery clocks, drop the generation's partial
+    /// results and barrier, and tell the survivors to tear down.
+    /// [`Controller::try_deploy`] redeploys once the bench is ready.
+    fn roll_back(&mut self, now: Instant) {
+        self.report.recoveries += 1;
+        self.deployed = false;
+        self.recovering_since = Some(now);
+        self.recovery_t0 = Some(now);
+        self.report.sink_states.clear();
+        self.outstanding = None;
+        self.acked.clear();
+        for w in self.workers.iter_mut().filter(|w| w.alive) {
+            let _ = send_msg(&mut w.writer, &WireMsg::Rollback);
         }
-        report
-    })
+        println!("ms-controller: rolling back generation {}", self.generation);
+    }
+
+    /// Deploys the next generation if none is deployed and the bench
+    /// is ready: the configured cluster size, or — during a recovery —
+    /// any survivor once `respawn_wait` has passed without a spare.
+    fn try_deploy(&mut self, now: Instant) {
+        if self.deployed {
+            return;
+        }
+        let live = self.workers.iter().filter(|w| w.alive).count();
+        let ready = live >= self.cfg.workers
+            || self
+                .recovering_since
+                .is_some_and(|t0| now.duration_since(t0) > self.cfg.respawn_wait && live >= 1);
+        if !ready {
+            return;
+        }
+        let restore = match self.recovering_since.take() {
+            Some(_) => {
+                let e = self.store.latest_complete();
+                self.report.restore_epochs.push(e);
+                e
+            }
+            // A resumed controller's "first" deployment is a recovery
+            // of the interrupted run.
+            None if self.resumed => {
+                let e = self.store.latest_complete();
+                self.report.recoveries += 1;
+                self.report.restore_epochs.push(e);
+                e
+            }
+            None => None,
+        };
+        self.generation += 1;
+        let placement = deploy(
+            &self.qn,
+            &self.plan,
+            self.cfg,
+            self.generation,
+            restore,
+            &mut self.workers,
+        );
+        self.op_worker = placement.into_iter().map(|p| (p.op, p.worker)).collect();
+        self.latest.clear();
+        self.latest_gate.clear();
+        self.deployed = true;
+        self.last_ckpt = now;
+        self.outstanding = None;
+        self.acked.clear();
+    }
 }
 
 /// One ledger record per operator for a just-closed epoch barrier.

@@ -35,10 +35,10 @@
 //! ```
 //!
 //! Kill a worker mid-stream (`kill -9`) and start a spare with a new
-//! `--name`: the controller detects the lost heartbeat, rolls the
-//! survivors back, restores the latest complete checkpoint from
-//! `$D/store`, sources replay their preserved logs, and the result
-//! file is byte-identical to the failure-free run. The
+//! `--name`: the controller sees the dead worker's control connection
+//! close, rolls the survivors back, restores the latest complete
+//! checkpoint from `$D/store`, sources replay their preserved logs,
+//! and the result file is byte-identical to the failure-free run. The
 //! `kill_recover` integration test automates exactly that.
 
 #![warn(missing_docs)]

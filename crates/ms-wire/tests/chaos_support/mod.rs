@@ -1,6 +1,8 @@
 //! Shared harness for the correlated-failure chaos matrix
-//! (`chaos_matrix.rs`): process-cluster plumbing, fault-injection env
-//! wiring, store/ledger auditing, and a minimal gateway producer.
+//! (`chaos_matrix.rs`) and the failure-detector tests
+//! (`crash_detect.rs`): process-cluster plumbing, fault-injection env
+//! wiring, the shared unfailed reference run, store/ledger auditing,
+//! and a minimal gateway producer.
 //!
 //! Every scenario runs real OS processes (the `ms-controller` and
 //! `ms-worker` binaries) against a throwaway store directory, injects
@@ -17,7 +19,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -57,6 +59,8 @@ impl Drop for Cluster {
 #[derive(Clone)]
 pub struct CtrlOpts {
     pub ckpt_ms: u64,
+    /// `--hb-timeout-ms`: the silent-failure detector's patience.
+    pub hb_timeout_ms: u64,
     /// 0 = stall detection off.
     pub barrier_stall_ms: u64,
     /// 0 = demo sources; >0 = gateway mode expecting this many
@@ -68,6 +72,7 @@ impl Default for CtrlOpts {
     fn default() -> CtrlOpts {
         CtrlOpts {
             ckpt_ms: 120,
+            hb_timeout_ms: 500,
             barrier_stall_ms: 0,
             gate_producers: 0,
         }
@@ -83,7 +88,7 @@ pub fn controller(dir: &Path, opts: &CtrlOpts) -> Command {
         .args(["--limit", &LIMIT.to_string()])
         .args(["--delay-us", &DELAY_US.to_string()])
         .args(["--ckpt-ms", &opts.ckpt_ms.to_string()])
-        .args(["--hb-timeout-ms", "500"])
+        .args(["--hb-timeout-ms", &opts.hb_timeout_ms.to_string()])
         .args(["--respawn-wait-ms", "3000", "--deadline-secs", "90"]);
     if opts.barrier_stall_ms > 0 {
         cmd.args(["--barrier-stall-ms", &opts.barrier_stall_ms.to_string()]);
@@ -139,6 +144,46 @@ pub fn wait_until(what: &str, budget: Duration, mut cond: impl FnMut() -> bool) 
         assert!(Instant::now() < deadline, "{what}: not within {budget:?}");
         thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// The unfailed chain3 run every chain scenario diffs against: run
+/// once per test binary, shared across scenarios (they use identical
+/// graph knobs, so their sink bytes must match it exactly).
+static REFERENCE: OnceLock<Vec<String>> = OnceLock::new();
+
+pub fn reference_sinks() -> &'static [String] {
+    REFERENCE.get_or_init(|| {
+        let dir = fresh_dir("ref");
+        let mut cluster = Cluster(Vec::new());
+        let ctl = cluster.push(controller(&dir, &CtrlOpts::default()).spawn().unwrap());
+        cluster.push(worker(&dir, "wa", &[]).spawn().unwrap());
+        cluster.push(worker(&dir, "wb", &[]).spawn().unwrap());
+        let status = wait_exit(&mut cluster.0[ctl], Duration::from_secs(80));
+        assert!(status.success(), "reference controller failed: {status:?}");
+        let (rec, sinks) = parse_result(&dir.join("result"));
+        assert_eq!(recoveries(&rec), 0);
+        assert_eq!(sinks.len(), 1);
+        let (sum, count) = decode_sink(&sinks[0]);
+        assert_eq!((sum, count), chain_expected());
+        check_ledger(&dir.join("store"), CHAIN_OPS, 1, None);
+        drop(cluster);
+        let _ = fs::remove_dir_all(&dir);
+        sinks
+    })
+}
+
+/// Blocks until at least `n` complete application checkpoints exist,
+/// and asserts the stream has not already finished — a kill landing
+/// after completion tests nothing.
+pub fn wait_checkpoints_mid_stream(dir: &Path, n: u64) {
+    let store = dir.join("store");
+    wait_until("complete checkpoint", Duration::from_secs(40), || {
+        max_complete_epoch(&store, CHAIN_OPS) >= n
+    });
+    assert!(
+        !dir.join("result").exists(),
+        "stream finished before the fault; raise --limit"
+    );
 }
 
 /// Checkpoint files per epoch in the store (`e{E}_op{N}.*` under

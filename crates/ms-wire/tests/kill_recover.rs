@@ -4,9 +4,10 @@
 //! no failure. Failure run: same cluster, but the worker hosting the
 //! middle operator is SIGKILLed mid-stream once a complete application
 //! checkpoint exists; a spare worker is started in its place. The
-//! controller must detect the lost heartbeat, roll back, restore the
-//! latest complete checkpoint, replay the preserved source log — and
-//! the sink's final state must be byte-identical to the reference run.
+//! controller must detect the crash (the victim's control connection
+//! closes), roll back, restore the latest complete checkpoint, replay
+//! the preserved source log — and the sink's final state must be
+//! byte-identical to the reference run.
 
 use std::fs;
 use std::path::{Path, PathBuf};
